@@ -20,6 +20,7 @@ from .errors import (
     InvalidSection,
     InvalidSeed,
     IrrationalRoot,
+    MalformedInput,
     MalformedRational,
     NotASquare,
     NotInduced,
@@ -43,6 +44,7 @@ from .continuant import (
     continuant_det,
     continuant_eval,
     continuant_front_eval,
+    continuant_prefixes,
     continuant_sym,
     continued_fraction_eval,
     flip_sign,

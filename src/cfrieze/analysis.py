@@ -85,8 +85,9 @@ def _scan_rows(frieze: Frieze, width: int):
     """Yield (point, value) over rows 1..n+1 for anchors in one window."""
     base = frieze.base_index
     for i in range(base, base + width):
+        diag = frieze.diagonal(i)
         for k in range(1, frieze.n + 2):
-            yield GridPoint(i, i + k - 1), frieze.value(i, i + k - 1)
+            yield GridPoint(i, i + k - 1), diag[k + 1]
 
 
 def is_positive(frieze: Frieze) -> bool:
@@ -158,7 +159,7 @@ def integrality_second_condition(frieze: Frieze, anchor: int) -> tuple[Fraction,
     if not is_integer(s):
         raise PreconditionBreach("second integrality condition needs s in Z")
     i0 = anchor
-    obl = {l: frieze.value(i0, i0 + l) for l in range(-2, n + 2)}
+    obl = dict(zip(range(-2, n + 2), frieze.diagonal(i0)))
     for l in range(-1, n + 1):  # rows 0..n+1
         if obl[l] == 0:
             raise ZeroPivot(f"zero oblique value at offset {l}")

@@ -19,7 +19,7 @@ from . import analysis
 from .continuant import identity_suite
 from .errors import (
     FriezeError,
-    InvalidSeed,
+    MalformedInput,
     MalformedRational,
     NotInduced,
     ZeroDenominator,
@@ -52,7 +52,10 @@ def _write(args, text: str) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{path}: expected a JSON object")
+    return data
 
 
 def _load_frieze(path: str) -> Frieze:
@@ -94,11 +97,10 @@ def _cmd_build(parser, args) -> int:
 
 def _render_cells(frieze: Frieze, start: int, cols: int):
     """Cells of the rectangular window: rows -1..n+2, anchors start..start+cols-1."""
+    anchors = range(start, start + cols)
+    diags = [frieze.diagonal(i) for i in anchors]
     for k in range(-1, frieze.n + 3):
-        yield k, [
-            (i, i + k - 1, frieze.value(i, i + k - 1))
-            for i in range(start, start + cols)
-        ]
+        yield k, [(i, i + k - 1, diag[k + 1]) for i, diag in zip(anchors, diags)]
 
 
 def _render_text(frieze: Frieze, start: int, cols: int) -> str:
@@ -107,13 +109,13 @@ def _render_text(frieze: Frieze, start: int, cols: int) -> str:
     d0 = 2 * start - 2
     width = 2 * cols
     grid = {}
-    for k in range(-1, frieze.n + 3):
-        i = (d0 - k + 1) // 2
-        while 2 * i + k - 1 < d0:
-            i += 1
-        while 2 * i + k - 1 < d0 + width:
-            grid[(k, 2 * i + k - 1 - d0)] = rat_str(frieze.value(i, i + k - 1))
-            i += 1
+    # the anchors whose diagonals have a cell in text columns 0..width-1:
+    # the lowest puts its row-(n+2) cell there, the highest its row -1 cell
+    for i in range((d0 - frieze.n) // 2, start + cols):
+        for k, value in enumerate(frieze.diagonal(i), start=-1):
+            col = 2 * i + k - 1 - d0
+            if 0 <= col < width:
+                grid[(k, col)] = rat_str(value)
     col_width = [
         max((len(v) for (k, col), v in grid.items() if col == col_idx), default=0)
         for col_idx in range(width)
@@ -327,20 +329,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.cmd](parser, args)
-    except InvalidSeed as exc:
-        print(f"error[InvalidSeed]: {exc}", file=sys.stderr)
-        return 1
-    except FriezeError as exc:
+    except (FriezeError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error[ValueError]: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error[FileNotFound]: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"error[MalformedJSON]: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error[ValueError]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -36,18 +36,23 @@ def _coerce(c, xs) -> tuple[Fraction, list[Fraction]]:
     c = Fraction(c)
     if c == 0:
         raise ZeroParameter("parameter c must be nonzero")
-    return c, [Fraction(x) for x in xs]
+    return c, [x if isinstance(x, Fraction) else Fraction(x) for x in xs]
 
 
 # -- numeric evaluation -----------------------------------------------------
 
+def continuant_prefixes(c, xs: Sequence) -> list[Fraction]:
+    """[P_{-1}, P_0, P_1(x_1), ..., P_k(x_1..x_k)] by one tail recurrence."""
+    c, xs = _coerce(c, xs)
+    out = [Fraction(0), Fraction(1)]
+    for x in xs:
+        out.append(x * out[-1] + c * out[-2])
+    return out
+
+
 def continuant_eval(c, xs: Sequence) -> Fraction:
     """P_k(xs) by the tail recurrence; linear in k, exact."""
-    c, xs = _coerce(c, xs)
-    prev, cur = Fraction(0), Fraction(1)  # P_{-1}, P_0
-    for x in xs:
-        prev, cur = cur, x * cur + c * prev
-    return cur
+    return continuant_prefixes(c, xs)[-1]
 
 
 def continuant_front_eval(c, xs: Sequence) -> Fraction:

@@ -11,6 +11,10 @@ class FriezeError(Exception):
     """Base class for all domain-level errors."""
 
 
+class MalformedInput(FriezeError):
+    """An input file does not hold a JSON object."""
+
+
 # -- exact rational scalars ------------------------------------------------
 
 class MalformedRational(FriezeError):
@@ -53,8 +57,9 @@ class InvalidSeed(FriezeError):
     """Seed failed validation; carries the list of violations."""
 
     def __init__(self, violations, message="seed is not admissible"):
-        super().__init__(f"{message}: {violations}")
         self.violations = list(violations)
+        detail = "; ".join(map(str, self.violations))
+        super().__init__(f"{message}: {detail}" if detail else message)
 
 
 class OutOfBand(FriezeError):

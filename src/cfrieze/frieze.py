@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .continuant import continuant_eval
+from .continuant import continuant_eval, continuant_prefixes
 from .errors import InvalidSeed, DegenerateSeed, InternalError, OutOfBand, ZeroParameter
 from .exactnum import rat_parse, rat_str
 
@@ -71,6 +71,9 @@ class PolygonalSequence:
 class Violation:
     name: str
     residual: Fraction
+
+    def __str__(self) -> str:
+        return f"{self.name} (residual {rat_str(self.residual)})"
 
 
 def seed_validate(params: FriezeParams, values: Sequence,
@@ -190,6 +193,7 @@ class Frieze:
             self._reduction = 2 * n + 6
         else:
             self._reduction = None
+        self._report: Optional[PeriodicityReport] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -266,16 +270,20 @@ class Frieze:
 
     # -- band queries -----------------------------------------------------
 
+    def diagonal(self, i: int) -> list[Fraction]:
+        """f(i, i+k-1) for k = -1..n+2, by one sweep over x_i .. x_{i+n}.
+
+        Entry k+1 holds row k; row n+2 is exactly 0.
+        """
+        xs = self.first_row_window(i, i + self.n)
+        return continuant_prefixes(self.c, xs) + [Fraction(0)]
+
     def value(self, i: int, j: int) -> Fraction:
         """f(i, j) = P_{j-i+1}(x_i .. x_j); rows -1 and n+2 are exactly 0."""
         row = j - i + 1
         if not -1 <= row <= self.n + 2:
             raise OutOfBand(f"({i}, {j}) has row {row}, outside [-1, {self.n + 2}]")
-        if row == -1 or row == self.n + 2:
-            return Fraction(0)
-        if row == 0:
-            return Fraction(1)
-        return continuant_eval(self.c, [self.first_row(m) for m in range(i, j + 1)])
+        return self.diagonal(i)[row + 1]
 
     def value_at(self, point) -> Fraction:
         return self.value(point[0], point[1])
@@ -292,29 +300,32 @@ class Frieze:
         """
         n, c = self.n, self.c
         s, t = self._s, self._t
+        diags = {i: self.diagonal(i) for i in range(i_lo - 2, i_hi + n + 3)}
+
+        def f(i, j):
+            return diags[i][j - i + 2]
+
         for a in range(i_lo, i_hi + 1):
             # mesh rule: f(i,j-1)f(i+1,j) - f(i+1,j-1)f(i,j) = (-c)^(j-i)
             for m in range(0, n + 2):
                 j = a + m
-                lhs = self.value(a, j - 1) * self.value(a + 1, j) - self.value(
-                    a + 1, j - 1
-                ) * self.value(a, j)
+                lhs = f(a, j - 1) * f(a + 1, j) - f(a + 1, j - 1) * f(a, j)
                 rhs = (-c) ** m
                 if lhs != rhs:
                     return FailurePoint(a, j, "mesh", lhs, rhs)
             # transvection: row k against row n-k+1, pivot t at even anchors
             pivot = t if a % 2 == 0 else s
             for k in range(0, n + 2):
-                lhs = self.value(a, a + k - 1)
-                rhs = (-c) ** k / pivot * self.value(a + k + 1, a + n + 1)
+                lhs = f(a, a + k - 1)
+                rhs = (-c) ** k / pivot * f(a + k + 1, a + n + 1)
                 if lhs != rhs:
                     return FailurePoint(a, a + k - 1, "transvection", lhs, rhs)
             # backward row expansion: row k from rows k+1, k+2 and row n
             for k in range(0, n + 1):
-                lhs = self.value(a, a + k - 1)
+                lhs = f(a, a + k - 1)
                 rhs = (
-                    self.value(a - 1, a + k - 1) * self.value(a, a + n - 1) / pivot
-                    + self.value(a - 2, a + k - 1) / c
+                    f(a - 1, a + k - 1) * f(a, a + n - 1) / pivot
+                    + f(a - 2, a + k - 1) / c
                 )
                 if lhs != rhs:
                     return FailurePoint(a, a + k - 1, "backward-row", lhs, rhs)
@@ -344,8 +355,11 @@ class Frieze:
 
         Minimality is a brute-force divisor scan over one fundamental window
         of the first row; first-row equality suffices because the frieze is
-        determined by its first row.
+        determined by its first row.  The report is computed once and
+        stored; later calls return the same object.
         """
+        if self._report is not None:
+            return self._report
         n = self.n
         s, t = self._s, self._t
         if s == t:
@@ -362,7 +376,7 @@ class Frieze:
             period = None
         scaling_even = (-self.c) ** (n + 1) / (t * t)
         scaling_odd = (-self.c) ** (n + 1) / (s * s)
-        return PeriodicityReport(
+        self._report = PeriodicityReport(
             kind=kind,
             period=period,
             s=s,
@@ -371,17 +385,15 @@ class Frieze:
             odd_row_scaling_even_anchor=scaling_even,
             odd_row_scaling_odd_anchor=scaling_odd,
         )
+        return self._report
 
     def _even_row_period(self) -> int:
         """Minimal shift fixing every even-order row; divides n+3."""
         n, base = self.n, self._base
-        even_rows = [k for k in range(0, n + 2) if k % 2 == 0]
+        # diagonal entries 1, 3, 5, .. hold the even rows 0, 2, 4, .. <= n+1
+        rows = [self.diagonal(i)[1:n + 3:2] for i in range(base, base + 2 * n + 6)]
         for d in _divisors(n + 3):
-            if all(
-                self.value(i + d, i + d + k - 1) == self.value(i, i + k - 1)
-                for k in even_rows
-                for i in range(base, base + n + 3)
-            ):
+            if all(rows[m + d] == rows[m] for m in range(n + 3)):
                 return d
         raise InternalError("even rows not (n+3)-periodic; theory violated")
 

@@ -131,8 +131,9 @@ def extract_section(frieze: Frieze, section: Section) -> SectionValues:
     """Read the frieze's values along a section."""
     if section.n != frieze.n:
         raise ValueError("section and frieze have different orders")
+    diags = {i: frieze.diagonal(i) for i in {p.i for p in section.points}}
     return SectionValues(
-        section, tuple(frieze.value(p.i, p.j) for p in section.points)
+        section, tuple(diags[p.i][p.row + 1] for p in section.points)
     )
 
 
@@ -237,11 +238,9 @@ def reconstruct(params: FriezeParams, sv: SectionValues) -> Frieze:
     try:
         frieze = Frieze(PolygonalSequence(params, left, values))
     except InvalidSeed as exc:
-        raise InconsistentSection(
-            f"recovered first-row window is not admissible: {exc.violations}"
-        ) from None
-    for point, val in zip(points, v):
-        got = frieze.value(point.i, point.j)
+        raise InconsistentSection(f"recovered first-row window: {exc}") from None
+    got_values = extract_section(frieze, sv.section).values
+    for point, val, got in zip(points, v, got_values):
         if got != val:
             raise InconsistentSection(
                 f"value mismatch at {tuple(point)}: section {val}, frieze {got}"
@@ -270,6 +269,8 @@ def section_values_to_dict(sv: SectionValues) -> dict:
 def section_values_from_dict(data: dict) -> SectionValues:
     from .exactnum import rat_parse
 
+    if "values" not in data:
+        raise InvalidSection("section JSON needs 'values'")
     values = tuple(rat_parse(str(v)) for v in data["values"])
     if "oblique" in data:
         shape = data["oblique"]

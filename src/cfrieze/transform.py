@@ -64,12 +64,11 @@ def flip_sign_value_check(f: Frieze, f_flipped: Frieze, i_lo: int,
                           i_hi: int) -> Optional[FailurePoint]:
     """Verify f'(i, j) = sign(row mod 4, parity of i) * f(i, j) on a window."""
     for i in range(i_lo, i_hi + 1):
-        for k in range(-1, f.n + 3):
-            j = i + k - 1
-            expected = flip_sign(k, i) * f.value(i, j)
-            got = f_flipped.value(i, j)
+        pairs = zip(f.diagonal(i), f_flipped.diagonal(i))
+        for k, (value, got) in enumerate(pairs, start=-1):
+            expected = flip_sign(k, i) * value
             if got != expected:
-                return FailurePoint(i, j, "sign-flip", got, expected)
+                return FailurePoint(i, i + k - 1, "sign-flip", got, expected)
     return None
 
 

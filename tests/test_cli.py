@@ -4,6 +4,8 @@ import pytest
 
 from cfrieze.cli import main
 
+DIRECTORY = object()  # test_missing_file: pass a directory as the input file
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -38,6 +40,13 @@ class TestBuild:
                              "--seed", "1,1,1,1,1")
         assert code == 1
         assert "InvalidSeed" in err
+
+    def test_seed_violations_print_rationals(self, capsys):
+        code, _, err = run(capsys, "build", "--c=-1", "--n", "2",
+                           "--seed=1,1,1,1,1")
+        assert code == 1
+        assert err.startswith("error[InvalidSeed]: seed is not admissible: ")
+        assert "residual -1" in err and "Fraction(" not in err
 
     def test_degenerate_free_values(self, capsys):
         code, _, err = run(capsys, "build", "--c", "-1", "--n", "1",
@@ -78,9 +87,25 @@ class TestAnalyze:
         assert report["classification"]["repetitive"] is True
         assert report["positive"] is True
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "analyze", "--in", "/nonexistent.json")
-        assert code == 1 and "FileNotFound" in err
+    @pytest.mark.parametrize("argv, content, error", [
+        (["analyze"], None, "FileNotFoundError"),
+        (["analyze"], DIRECTORY, "IsADirectoryError"),
+        (["analyze"], "[1, 2]", "MalformedInput"),
+        (["reconstruct", "--c", "-1", "--n", "1"], "[1, 2]", "MalformedInput"),
+        (["reconstruct", "--c", "-1", "--n", "1"],
+         '{"oblique": {"anchor": 1, "orientation": "down-right"}}',
+         "InvalidSection"),
+    ], ids=["missing", "directory", "descriptor-list", "section-list",
+            "section-without-values"])
+    def test_missing_file(self, capsys, tmp_path, argv, content, error):
+        path = tmp_path / "input.json"
+        if content is DIRECTORY:
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
 
 
 class TestRender:

@@ -78,6 +78,50 @@ class TestLocalRelations:
             assert f.check_local_relations(0, anchors) is None
 
 
+class TestDiagonalKernel:
+    """Frieze.diagonal sweeps a whole diagonal at once; every entry must
+    match the per-cell evaluation by the tail recurrence and by the
+    determinant oracle, 40 anchors beyond the seed on either side."""
+
+    @staticmethod
+    def _friezes():
+        from cfrieze import seed_from_free
+
+        _, friezes = _corpus(110, 8, max_n=5, rational_c=True)
+        for c, free, base in (
+            (F(3, 2), [1, 2, -1, 3], 1),          # n = 3, non-periodic
+            (F(3, 2), [2, 1, 1, -2, 1, 1], -2),   # n = 5
+            (F(-5, 3), [1, 3, 2], 0),             # n = 2, periodic
+            (F(-5, 3), [2, -1, 1, 3], 3),         # n = 3
+        ):
+            params = FriezeParams(c, len(free) - 1)
+            friezes.append(Frieze(seed_from_free(params, free, base)))
+        return friezes
+
+    def test_diagonal_matches_per_cell_continuants(self):
+        from cfrieze import NON_PERIODIC, continuant_det, continuant_eval
+
+        friezes = self._friezes()
+        kinds = {f.period_report().kind == NON_PERIODIC for f in friezes}
+        assert kinds == {True, False}
+        for f in friezes:
+            n, base = f.n, f.base_index
+            for i in range(base - 40, base + n + 3 + 40):
+                diag = f.diagonal(i)
+                xs = [f.first_row(m) for m in range(i, i + n + 1)]
+                assert len(diag) == n + 4
+                assert diag[0] == 0 and diag[-1] == 0
+                for k in range(0, n + 2):
+                    window = xs[:k]
+                    assert diag[k + 1] == continuant_eval(f.c, window)
+                    assert diag[k + 1] == continuant_det(f.c, window)
+
+    def test_period_report_is_computed_once(self):
+        for f in self._friezes():
+            report = f.period_report()
+            assert f.period_report() is report
+
+
 class TestPseudoPeriodicity:
     def test_even_rows_shift_invariant(self):
         _, friezes = _corpus(105, 40, max_n=6)
