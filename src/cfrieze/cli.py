@@ -73,6 +73,14 @@ def _parse_rat_list(parser, flag: str, text: str) -> list[Fraction]:
     return [_parse_rat_flag(parser, flag, part) for part in text.split(",")]
 
 
+def _order(text: str) -> int:
+    """argparse type of --n: an order n >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"order n must be >= 1, got {n}")
+    return n
+
+
 # -- build ---------------------------------------------------------------
 
 def _cmd_build(parser, args) -> int:
@@ -232,7 +240,10 @@ def _cmd_transform(parser, args) -> int:
         result = Frieze(gamma(frieze.seed), validate=False)
     elif op == "gamma-inv" or op.startswith("gamma-inv:"):
         if ":" in op:
-            j0 = int(op.split(":", 1)[1])
+            try:
+                j0 = int(op.split(":", 1)[1])
+            except ValueError:
+                parser.error(f"--op: gamma-inv index must be an integer in {op!r}")
         else:
             cls = analysis.classify(frieze)
             if cls.induced_index is None:
@@ -247,9 +258,15 @@ def _cmd_transform(parser, args) -> int:
 
 # -- verify ---------------------------------------------------------------
 
+# Symbolic term counts grow like Fibonacci numbers: k = 12 takes about 1.5 s.
+MAX_IDENTITY_K = 12
+
+
 def _cmd_verify(parser, args) -> int:
     if not args.identities:
         parser.error("nothing to verify; pass --identities")
+    if not 1 <= args.max_k <= MAX_IDENTITY_K:
+        parser.error(f"--max-k must lie in 1..{MAX_IDENTITY_K}")
     failures = 0
     lines = []
     for label, certificate in identity_suite(args.max_k):
@@ -274,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="construct a frieze descriptor")
     p_build.add_argument("--c", required=True, help="parameter c, as p or p/q")
-    p_build.add_argument("--n", required=True, type=int, help="order n >= 1")
+    p_build.add_argument("--n", required=True, type=_order, help="order n >= 1")
     group = p_build.add_mutually_exclusive_group(required=True)
     group.add_argument("--free", help="n+1 free first-row values, comma-separated")
     group.add_argument("--seed", help="n+3 seed values, comma-separated")
@@ -296,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("reconstruct", help="rebuild a frieze from a section")
     p_rec.add_argument("--c", required=True)
-    p_rec.add_argument("--n", required=True, type=int)
+    p_rec.add_argument("--n", required=True, type=_order)
     p_rec.add_argument("--in", dest="infile", required=True)
     p_rec.add_argument("--out")
 

@@ -14,8 +14,9 @@ The convention throughout is the classical one: s sits at even anchors,
 s = f(2i, 2i+n) and t = f(2i+1, 2i+n+1).
 
 A frieze is determined by any n+3 consecutive first-row values (its seed).
-Extension beyond the seed solves P_{n+2} = 0 for the unknown endpoint; the
-divisor is always a row-(n+1) value, hence nonzero for a valid seed.
+Beyond the seed the first row follows in closed form from pseudo-periodicity:
+x_{i+n+3} = (t/s) x_i at even i and (s/t) x_i at odd i, because the odd-row
+factor (-c)^{n+1}/s^2 equals t/s when s*t = (-c)^{n+1}.
 """
 
 from __future__ import annotations
@@ -158,11 +159,11 @@ def _divisors(m: int) -> list[int]:
 
 
 class Frieze:
-    """A c-frieze of order n, lazily extended from its seed.
+    """A c-frieze of order n, an immutable view of its seed.
 
-    The first-row cache grows on demand.  Concurrent read-only use is safe
-    only after :meth:`ensure_range` has materialized every index that will
-    be queried; otherwise callers must serialize access.
+    Every first-row value is a closed-form function of the seed (see
+    :meth:`first_row`); the only stored result is the periodicity report,
+    computed once on first request and the same whichever call computes it.
     """
 
     def __init__(self, seed: PolygonalSequence, validate: bool = True):
@@ -171,28 +172,10 @@ class Frieze:
             if violations:
                 raise InvalidSeed(violations)
         self._seed = seed
-        self._base = seed.base_index
-        self._cache = {self._base + m: v for m, v in enumerate(seed.values)}
-        self._lo = self._base
-        self._hi = self._base + len(seed.values) - 1
-        n, c = seed.params.n, seed.params.c
-        first = continuant_eval(c, seed.values[:n + 1])
-        second = continuant_eval(c, seed.values[1:n + 2])
-        if self._base % 2 == 0:
-            self._s, self._t = first, second
-        else:
-            self._s, self._t = second, first
-        # Exact reduction period for far queries, when one exists: n+3 when
-        # s = t, twice that when s = -t (the first row is then antiperiodic),
-        # 2n+6 when n is even; none otherwise.
-        if self._s == self._t:
-            self._reduction = n + 3
-        elif self._s == -self._t:
-            self._reduction = 2 * (n + 3)
-        elif n % 2 == 0:
-            self._reduction = 2 * n + 6
-        else:
-            self._reduction = None
+        n, c, odd = seed.params.n, seed.params.c, seed.base_index % 2
+        pens = [continuant_eval(c, seed.values[m:m + n + 1]) for m in (0, 1)]
+        self._s, self._t = pens[odd], pens[1 - odd]
+        self._rho = self._t / self._s
         self._report: Optional[PeriodicityReport] = None
 
     # -- basic accessors -------------------------------------------------
@@ -215,7 +198,7 @@ class Frieze:
 
     @property
     def base_index(self) -> int:
-        return self._base
+        return self._seed.base_index
 
     @property
     def s(self) -> Fraction:
@@ -229,41 +212,20 @@ class Frieze:
         """(s, t) with s anchored at even indices: s = f(2i, 2i+n)."""
         return self._s, self._t
 
-    # -- first-row extension ----------------------------------------------
-
-    def _step_forward(self):
-        n, c = self.n, self.c
-        window = [self._cache[m] for m in range(self._hi - n, self._hi + 1)]
-        pen = continuant_eval(c, window)  # row n+1 value: s or t, nonzero
-        self._hi += 1
-        self._cache[self._hi] = -c * continuant_eval(c, window[:-1]) / pen
-
-    def _step_backward(self):
-        n, c = self.n, self.c
-        window = [self._cache[m] for m in range(self._lo, self._lo + n + 1)]
-        pen = continuant_eval(c, window)
-        self._lo -= 1
-        self._cache[self._lo] = -c * continuant_eval(c, window[1:]) / pen
+    # -- first row -------------------------------------------------------
 
     def first_row(self, i: int) -> Fraction:
-        """x_i of the unique n-admissible bi-infinite extension of the seed."""
-        if self._reduction is not None:
-            i = self._base + (i - self._base) % self._reduction
-        while i > self._hi:
-            self._step_forward()
-        while i < self._lo:
-            self._step_backward()
-        return self._cache[i]
-
-    def ensure_range(self, lo: int, hi: int):
-        """Materialize every first-row value a query in [lo, hi] can touch."""
-        if self._reduction is not None:
-            # Queries are redirected into one fundamental window; the cache
-            # is contiguous from the base, so filling that window suffices.
-            self.first_row(self._base + self._reduction - 1)
-        else:
-            self.first_row(lo)
-            self.first_row(hi)
+        """x_i = seed[r] * rho^(+-e), q, r = divmod(i - base, n+3), rho = t/s:
+        e = q for n odd; for n even the shift by n+3 flips parity, the factors
+        cancel in pairs and e = q mod 2.  The sign is + when base + r is even."""
+        seed = self._seed
+        n, base = seed.params.n, seed.base_index
+        q, r = divmod(i - base, n + 3)
+        if n % 2 == 0:
+            q %= 2
+        if (base + r) % 2:
+            q = -q
+        return seed.values[r] * self._rho ** q if q else seed.values[r]
 
     def first_row_window(self, lo: int, hi: int) -> list[Fraction]:
         return [self.first_row(i) for i in range(lo, hi + 1)]
@@ -334,7 +296,7 @@ class Frieze:
     # -- periodicity --------------------------------------------------------
 
     def _minimal_shift(self, candidates: list[int], window: int, sign: int) -> int:
-        base = self._base
+        base = self.base_index
         for d in candidates:
             if all(
                 self.first_row(i + d) == sign * self.first_row(i)
@@ -389,7 +351,7 @@ class Frieze:
 
     def _even_row_period(self) -> int:
         """Minimal shift fixing every even-order row; divides n+3."""
-        n, base = self.n, self._base
+        n, base = self.n, self.base_index
         # diagonal entries 1, 3, 5, .. hold the even rows 0, 2, 4, .. <= n+1
         rows = [self.diagonal(i)[1:n + 3:2] for i in range(base, base + 2 * n + 6)]
         for d in _divisors(n + 3):
@@ -414,11 +376,13 @@ def frieze_from_dict(data: dict) -> Frieze:
     """Rebuild a frieze from its descriptor, re-validating the seed."""
     try:
         c = rat_parse(str(data["c"]))
-        n = int(data["n"])
-        base = int(data.get("base_index", 1))
+        n = data["n"]
+        base = data.get("base_index", 1)
         raw = data["seed"]
     except KeyError as exc:
         raise InvalidSeed([], f"descriptor missing field {exc}") from None
+    if type(n) is not int or n < 1 or type(base) is not int:
+        raise InvalidSeed([], "descriptor needs an integer n >= 1 and base_index")
     if not isinstance(raw, list) or len(raw) != n + 3:
         raise InvalidSeed(
             [], f"descriptor seed must list exactly n+3 = {n + 3} values"

@@ -266,19 +266,29 @@ def section_values_to_dict(sv: SectionValues) -> dict:
     }
 
 
+def _is_int_pair(point) -> bool:
+    return isinstance(point, list) and len(point) == 2 and all(
+        type(v) is int for v in point)
+
+
 def section_values_from_dict(data: dict) -> SectionValues:
     from .exactnum import rat_parse
 
-    if "values" not in data:
-        raise InvalidSection("section JSON needs 'values'")
-    values = tuple(rat_parse(str(v)) for v in data["values"])
-    if "oblique" in data:
-        shape = data["oblique"]
-        section = oblique_section(
-            len(values) - 4, int(shape["anchor"]), str(shape["orientation"])
-        )
-    elif "points" in data:
-        section = Section(tuple((int(i), int(j)) for i, j in data["points"]))
+    raw, shape, points = data.get("values"), data.get("oblique"), data.get("points")
+    if not isinstance(raw, list):
+        raise InvalidSection("section JSON needs a 'values' list")
+    values = tuple(rat_parse(str(v)) for v in raw)
+    if shape is not None:
+        if not (isinstance(shape, dict) and type(shape.get("anchor")) is int
+                and shape.get("orientation") in (DOWN_RIGHT, UP_RIGHT)):
+            raise InvalidSection("'oblique' needs an integer anchor and "
+                                 f"orientation {DOWN_RIGHT!r} or {UP_RIGHT!r}")
+        section = oblique_section(len(values) - 4, shape["anchor"],
+                                  shape["orientation"])
+    elif points is not None:
+        if not (isinstance(points, list) and all(map(_is_int_pair, points))):
+            raise InvalidSection("'points' must list [i, j] integer pairs")
+        section = Section(tuple(map(tuple, points)))
     else:
         raise InvalidSection("section JSON needs 'points' or 'oblique'")
     return SectionValues(section, values)

@@ -5,6 +5,9 @@ import pytest
 from cfrieze.cli import main
 
 DIRECTORY = object()  # test_missing_file: pass a directory as the input file
+RECONSTRUCT = ["reconstruct", "--c", "-1", "--n", "1"]
+SECTION_VALUES = '"values": ["0", "1", "1", "1", "0"]'
+SEED = '"seed": ["1", "2", "-1/3", "-6"]'  # valid for c = 1, n = 1
 
 
 def run(capsys, *argv):
@@ -65,6 +68,16 @@ class TestBuild:
             main(["build", "--c", "x", "--n", "1", "--free", "1,2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--c", "1", "--free", "1"],
+        ["reconstruct", "--c", "1", "--in", "section.json"],
+    ], ids=["build", "reconstruct"])
+    def test_order_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "0"])
+        assert exc.value.code == 2
+        assert "order n must be >= 1" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "f.json"
         code, out, _ = run(capsys, "build", "--c", "-1", "--n", "2",
@@ -91,12 +104,28 @@ class TestAnalyze:
         (["analyze"], None, "FileNotFoundError"),
         (["analyze"], DIRECTORY, "IsADirectoryError"),
         (["analyze"], "[1, 2]", "MalformedInput"),
-        (["reconstruct", "--c", "-1", "--n", "1"], "[1, 2]", "MalformedInput"),
-        (["reconstruct", "--c", "-1", "--n", "1"],
+        (RECONSTRUCT, "[1, 2]", "MalformedInput"),
+        (RECONSTRUCT,
          '{"oblique": {"anchor": 1, "orientation": "down-right"}}',
          "InvalidSection"),
+        (["analyze"], '{"c": "1", "n": null, "seed": []}', "InvalidSeed"),
+        (["analyze"], '{"c": "1", "n": 1.5, %s}' % SEED, "InvalidSeed"),
+        (["analyze"], '{"c": "1", "n": true, %s}' % SEED, "InvalidSeed"),
+        (["analyze"], '{"c": "1", "n": 0, "seed": ["1", "2", "3"]}',
+         "InvalidSeed"),
+        (["analyze"], '{"c": "1", "n": 1, "base_index": null, %s}' % SEED,
+         "InvalidSeed"),
+        (RECONSTRUCT, '{"values": 5, "points": []}', "InvalidSection"),
+        (RECONSTRUCT, '{%s, "points": 5}' % SECTION_VALUES, "InvalidSection"),
+        (RECONSTRUCT, '{%s, "points": [[1, 2], [3]]}' % SECTION_VALUES,
+         "InvalidSection"),
+        (RECONSTRUCT, '{%s, "oblique": [1]}' % SECTION_VALUES, "InvalidSection"),
+        (RECONSTRUCT, '{%s, "oblique": {"anchor": null, '
+         '"orientation": "down-right"}}' % SECTION_VALUES, "InvalidSection"),
     ], ids=["missing", "directory", "descriptor-list", "section-list",
-            "section-without-values"])
+            "section-without-values", "n-null", "n-float", "n-bool",
+            "n-zero", "base-null", "values-int", "points-int", "points-short-pair",
+            "oblique-list", "oblique-anchor-null"])
     def test_missing_file(self, capsys, tmp_path, argv, content, error):
         path = tmp_path / "input.json"
         if content is DIRECTORY:
@@ -241,6 +270,12 @@ class TestTransform:
                            "--op", "gamma-inv")
         assert code == 1 and "NotInduced" in err
 
+    def test_gamma_inv_bad_index_is_usage_error(self, capsys, tmp_path):
+        path = write_example_descriptor(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--in", str(path), "--op", "gamma-inv:x"])
+        assert exc.value.code == 2
+
     def test_unknown_op(self, capsys, tmp_path):
         path = write_example_descriptor(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -256,6 +291,14 @@ class TestVerify:
         assert lines and all(line.startswith("ok ") for line in lines)
         assert any(line.startswith("ok concat(") for line in lines)
         assert any(line.startswith("ok signflip(") for line in lines)
+
+
+    @pytest.mark.parametrize("max_k", ["0", "13"])
+    def test_max_k_outside_cap_is_usage_error(self, capsys, max_k):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--identities", "--max-k", max_k])
+        assert exc.value.code == 2
+        assert "--max-k must lie in 1..12" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -111,9 +111,18 @@ class TestFirstRow:
         for m in range(len(xs) - 3):
             assert continuant_det(ex1.c, xs[m:m + 4]) == 0
 
-    def test_ensure_range(self, ex1):
-        ex1.ensure_range(-20, 20)
-        assert ex1.first_row(-20) is not None
+    def test_far_non_periodic_query(self):
+        # n odd and |s| != |t|: no period, so x_{b+10^4} = seed[0] * (t/s)^q
+        # with q = 10^4 / (n+3); the determinant oracle checks the windows
+        f = Frieze(seed_from_free(FriezeParams(F(-2), 1), [1, 3], 0))
+        s, t = f.s_t()
+        assert abs(s) != abs(t)
+        far = 10**4
+        assert f.first_row(far) == f.seed.values[0] * (t / s) ** (far // 4)
+        assert f.first_row(-far) == f.seed.values[0] * (s / t) ** (far // 4)
+        xs = f.first_row_window(far - 3, far + 3)
+        for m in range(len(xs) - 2):
+            assert continuant_det(f.c, xs[m:m + 3]) == 0
 
 
 class TestValue:

@@ -122,6 +122,91 @@ class TestDiagonalKernel:
             assert f.period_report() is report
 
 
+class TestClosedFormFirstRow:
+    """Frieze.first_row is a closed form in the seed; it must agree with the
+    step-by-step endpoint solve three periods out on either side, and no
+    query may change the frieze."""
+
+    @staticmethod
+    def _pinned(rng, n, c, root, base):
+        """A frieze whose first row-(n+1) value is +-root^(n+1) with
+        c = +-root^2; the other one, (-c)^(n+1) divided by it, then has the
+        same absolute value, so s = t or s = -t."""
+        from cfrieze import DegenerateSeed, continuant_eval, seed_from_free
+
+        head = [F(rng.randint(-4, 4)) for _ in range(n)]
+        pen = continuant_eval(c, head)
+        if pen == 0:
+            return None
+        target = rng.choice([1, -1]) * root ** (n + 1)
+        last = (target - c * continuant_eval(c, head[:-1])) / pen
+        try:
+            return Frieze(seed_from_free(FriezeParams(c, n), head + [last], base))
+        except DegenerateSeed:
+            return None
+
+    def _friezes(self):
+        from cfrieze import DegenerateSeed, seed_from_free
+
+        rng = random.Random(112)
+        out = []
+        for n in range(1, 9):
+            for base in (-3, 2):
+                root = rng.choice([F(1), F(2), F(3, 2), F(2, 3)])
+                for c in (-root * root, root * root):
+                    f = self._pinned(rng, n, c, root, base)
+                    if f is not None:
+                        out.append(f)
+                for den in (1, 2, 3):
+                    params = FriezeParams(F(rng.choice([-5, -3, -2, 2, 3, 4]), den), n)
+                    free = [F(rng.randint(-4, 4)) for _ in range(n + 1)]
+                    try:
+                        out.append(Frieze(seed_from_free(params, free, base)))
+                    except DegenerateSeed:
+                        pass
+        return out
+
+    @staticmethod
+    def _walk(f, reach):
+        """x_i for i within reach of the seed, by repeated endpoint solves:
+        forward on the row, backward on the reversed row (continuants are
+        symmetric under reversal, so the reversed row is admissible too)."""
+        from cfrieze import seed_from_free
+
+        n, base = f.n, f.base_index
+        row, rev = list(f.seed.values), list(reversed(f.seed.values))
+        for _ in range(reach):
+            row.append(seed_from_free(f.params, row[-(n + 1):]).values[n + 1])
+            rev.append(seed_from_free(f.params, rev[-(n + 1):]).values[n + 1])
+        walked = {base + m: v for m, v in enumerate(row)}
+        walked.update({base + n + 2 - m: v for m, v in enumerate(rev)})
+        return walked
+
+    def test_matches_the_step_walk(self):
+        from cfrieze import NON_PERIODIC, ODD_ROWS_ANTIPERIODIC, PERIODIC
+
+        friezes = self._friezes()
+        assert {f.period_report().kind for f in friezes} == \
+            {PERIODIC, ODD_ROWS_ANTIPERIODIC, NON_PERIODIC}
+        assert {(f.n, f.base_index % 2) for f in friezes} == \
+            {(n, p) for n in range(1, 9) for p in (0, 1)}
+        assert any(f.c.denominator != 1 for f in friezes)
+        for f in friezes:
+            for i, v in self._walk(f, 3 * (f.n + 3)).items():
+                assert f.first_row(i) == v, (f.seed, i)
+
+    def test_queries_leave_the_frieze_unchanged(self):
+        import copy
+
+        for f in self._friezes()[::3]:
+            before = copy.deepcopy(vars(f))
+            for i in (-10**3, -37, 41, 10**3 + 1):
+                f.first_row(i)
+                f.diagonal(i)
+                f.value(i, i + f.n)
+            assert vars(f) == before
+
+
 class TestPseudoPeriodicity:
     def test_even_rows_shift_invariant(self):
         _, friezes = _corpus(105, 40, max_n=6)
